@@ -25,7 +25,6 @@ module NI = Iov_msg.Node_id
 module Gf = Iov_gf256.Gf256
 module Linear = Iov_gf256.Linear
 module Cqueue = Iov_core.Cqueue
-module Heap = Iov_dsim.Heap
 module Scn = Iov_chaos.Scenario
 module Inv = Iov_chaos.Invariant
 module Gsw = Iov_gossip.Swim
@@ -116,16 +115,6 @@ let bench_cqueue =
         fun () ->
           ignore (Cqueue.push q 1);
           ignore (Cqueue.pop q)))
-
-let bench_heap =
-  Test.make ~name:"heap/push-pop"
-    (Staged.stage
-       (let h = Heap.create () in
-        let seq = ref 0 in
-        fun () ->
-          incr seq;
-          Heap.push h ~time:(float_of_int (!seq land 1023)) ~seq:!seq ();
-          ignore (Heap.pop h)))
 
 (* a full simulated second of a 3-node chain: source, switch, sink *)
 let bench_switch_hop =
@@ -380,7 +369,6 @@ let micro_tests =
     bench_linear_decode;
     bench_incremental_decode;
     bench_cqueue;
-    bench_heap;
     bench_switch_hop;
     bench_fanout_8way;
     bench_fanout_8way_telem;

@@ -66,13 +66,16 @@ let next_seq t d =
   | `Copy -> d.cursor
   | `Split -> d.index + (d.cursor * List.length t.dests)
 
+(* The stream advances before [send]: the simulator's send may start the
+   transmission at once and call [on_ready] from inside it, which emits
+   the next message. *)
 let emit t (ctx : Alg.ctx) d =
   let seq = next_seq t d in
+  d.cursor <- d.cursor + 1;
+  t.total_sent <- t.total_sent + 1;
   let payload = t.make_payload ~dest_index:d.index ~seq in
   let m = Msg.data ~origin:ctx.self ~app:t.app ~seq payload in
-  ctx.send m d.dst;
-  d.cursor <- d.cursor + 1;
-  t.total_sent <- t.total_sent + 1
+  ctx.send m d.dst
 
 (* Back-to-back: each connection runs as fast as its sender buffer
    drains, independent of the other destinations. *)

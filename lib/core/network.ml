@@ -64,7 +64,10 @@ type link = {
   mutable loss_p : float; (* per-transmission loss probability *)
   mutable corrupt_p : float; (* per-transmission corruption probability *)
   mutable draining : bool; (* graceful disconnect requested *)
-  mutable pending_fanout : (Msg.t * NI.t list) option;
+  mutable pending_fanout : (Msg.t * link list) option;
+      (* a switched message and the out-links whose full sender
+         buffers still block it *)
+  mutable waiting : int; (* pending fanouts of [l_src] blocked on this link *)
   mutable pumping : bool;
   mutable weight : int;
   mutable wrr_left : int;
@@ -79,17 +82,18 @@ and node = {
   mutable n_state : [ `Alive | `Terminated ];
   out_links : link NI.Tbl.t;
   in_links : link NI.Tbl.t;
-  mutable rr : link list; (* weighted-round-robin rotation over in-links *)
+  rr : link Ring.t; (* weighted-round-robin rotation over in-links *)
   up_rsrc : Rsrc.t;
   down_rsrc : Rsrc.t;
   total_rsrc : Rsrc.t;
   bufcap : int;
   mutable scheduled : bool;
+  mutable n_wake : unit -> unit; (* runs the engine; made once per node *)
   control_q : Msg.t Queue.t;
   mutable kh : NI.Set.t;
   ctl_sent : (Mt.t, int ref) Hashtbl.t;
   ctl_recv : (Mt.t, int ref) Hashtbl.t;
-  app_meters : (int, Meter.t) Hashtbl.t;
+  mutable app_meters : (int * Meter.t) list;
   mutable bytes_lost : int;
   mutable msgs_lost : int;
   mutable n_ctx : Algorithm.ctx option;
@@ -196,12 +200,15 @@ let bump tbl key v =
 let counter tbl key =
   match Hashtbl.find_opt tbl key with Some r -> !r | None -> 0
 
+let rec find_meter app = function
+  | (a, m) :: tl -> if a = app then m else find_meter app tl
+  | [] -> raise Not_found
+
 let app_meter n app =
-  match Hashtbl.find_opt n.app_meters app with
-  | Some m -> m
-  | None ->
+  try find_meter app n.app_meters
+  with Not_found ->
     let m = Meter.create ~window:n.n_net.report_period () in
-    Hashtbl.add n.app_meters app m;
+    n.app_meters <- (app, m) :: n.app_meters;
     m
 
 (* ------------------------------------------------------------------ *)
@@ -301,7 +308,7 @@ let tel_event n kind ~peer =
 let rec schedule_engine n =
   if (not n.scheduled) && n.n_state = `Alive then begin
     n.scheduled <- true;
-    ignore (Sim.schedule n.n_net.sim ~delay:0. (fun () -> run_engine n))
+    ignore (Sim.schedule n.n_net.sim ~delay:0. n.n_wake)
   end
 
 and schedule_engine_at n ~time =
@@ -310,7 +317,7 @@ and schedule_engine_at n ~time =
      runs. *)
   if (not n.scheduled) && n.n_state = `Alive then begin
     n.scheduled <- true;
-    ignore (Sim.schedule_at n.n_net.sim ~time (fun () -> run_engine n))
+    ignore (Sim.schedule_at n.n_net.sim ~time n.n_wake)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -340,6 +347,7 @@ and ensure_link src dst_id =
           corrupt_p = 0.;
           draining = false;
           pending_fanout = None;
+          waiting = 0;
           pumping = false;
           weight = 1;
           wrr_left = 1;
@@ -355,7 +363,7 @@ and ensure_link src dst_id =
       in
       NI.Tbl.add src.out_links dst_id l;
       NI.Tbl.add dst.in_links src.n_id l;
-      dst.rr <- dst.rr @ [ l ];
+      Ring.add dst.rr l;
       (* one sender thread on the source host, one receiver thread on
          the destination host *)
       src.n_host.threads <- src.n_host.threads + 1;
@@ -442,18 +450,7 @@ and pump_link l =
 and on_send_space l =
   let src = l.l_src in
   if src.n_state = `Alive then begin
-    let blocked_on_l =
-      NI.Tbl.fold
-        (fun _ in_l acc ->
-          acc
-          ||
-          match in_l.pending_fanout with
-          | Some (_, remaining) ->
-            List.exists (NI.equal l.l_dst.n_id) remaining
-          | None -> false)
-        src.in_links false
-    in
-    if blocked_on_l then schedule_engine src;
+    if l.waiting > 0 then schedule_engine src;
     if (not (Cqueue.is_full l.send_buf)) && Queue.is_empty l.overflow then
       src.n_algo.on_ready (ctx src) l.l_dst.n_id
   end
@@ -461,18 +458,30 @@ and on_send_space l =
 and retry_fanout n in_l =
   match in_l.pending_fanout with
   | None -> false
+  | Some (_, remaining)
+    when Option.is_none n.n_admission && List.for_all still_full remaining ->
+    (* every enqueue would fail and change nothing: the retry is skipped,
+       so a scan past many blocked in-links stays cheap *)
+    false
   | Some (m, remaining) ->
     let still =
-      List.filter (fun dst -> not (try_enqueue_data n m dst)) remaining
+      List.filter (fun l -> not (try_enqueue_data n m l.l_dst.n_id)) remaining
     in
-    if still = [] then begin
-      in_l.pending_fanout <- None;
-      true
-    end
-    else begin
-      in_l.pending_fanout <- Some (m, still);
-      false
-    end
+    set_pending in_l (if still = [] then None else Some (m, still));
+    still = []
+
+and still_full l = (not (l.l_closed || l.draining)) && Cqueue.is_full l.send_buf
+
+(* The only writer of [pending_fanout]: keeps every out-link's count of
+   the fanouts blocked on it, so a transmission need not look for them. *)
+and set_pending in_l pending =
+  let count d = function
+    | Some (_, links) -> List.iter (fun l -> l.waiting <- l.waiting + d) links
+    | None -> ()
+  in
+  count (-1) in_l.pending_fanout;
+  in_l.pending_fanout <- pending;
+  count 1 pending
 
 (* Attempt to place a data message into the sender buffer toward
    [dst_id]; creates the connection on demand. Returns false when the
@@ -683,10 +692,6 @@ and set_link_bandwidth_n n peer rate =
   | Some l -> Rsrc.set_rate l.cap rate
   | None -> ()
 
-and process_with_algorithm n m =
-  let c = ctx n in
-  n.n_algo.process c m
-
 and engine_handle_link_failed n (m : Msg.t) =
   (* engine-side cleanup before the algorithm hears about it *)
   let peer = m.Msg.origin in
@@ -724,21 +729,20 @@ and close_out_link n l =
   NI.Tbl.remove n.out_links l.l_dst.n_id;
   n.n_host.threads <- n.n_host.threads - 1;
   (* a dead destination no longer blocks pending fanouts *)
-  NI.Tbl.iter
-    (fun _ in_l ->
-      match in_l.pending_fanout with
-      | Some (m, remaining) ->
-        let still =
-          List.filter (fun d -> not (NI.equal d l.l_dst.n_id)) remaining
-        in
-        in_l.pending_fanout <- (if still = [] then None else Some (m, still))
-      | None -> ())
-    n.in_links
+  if l.waiting > 0 then
+    NI.Tbl.iter
+      (fun _ in_l ->
+        match in_l.pending_fanout with
+        | Some (m, remaining) ->
+          let still = List.filter (fun x -> x != l) remaining in
+          set_pending in_l (if still = [] then None else Some (m, still))
+        | None -> ())
+      n.in_links
 
 and close_in_link n l =
   l.l_closed <- true;
   NI.Tbl.remove n.in_links l.l_src.n_id;
-  n.rr <- List.filter (fun x -> x != l) n.rr;
+  Ring.remove n.rr l;
   n.n_host.threads <- n.n_host.threads - 1;
   (* already-received messages in the buffer were consumed below the
      socket; they are dropped with the link, counted as lost *)
@@ -752,7 +756,7 @@ and close_in_link n l =
   (match l.pending_fanout with
   | Some (m, _) -> count m
   | None -> ());
-  l.pending_fanout <- None
+  set_pending l None
 
 (* Fan a switched message out to every destination. The same message
    value — and therefore the same payload bytes — is enqueued on every
@@ -762,36 +766,32 @@ and close_in_link n l =
    enqueue succeeds the filter keeps nothing and allocates nothing. *)
 and do_fanout n in_l m dests =
   let remaining =
-    List.filter (fun dst -> not (try_enqueue_data n m dst)) dests
+    List.filter_map
+      (fun dst ->
+        if try_enqueue_data n m dst then None
+        else NI.Tbl.find_opt n.out_links dst)
+      dests
   in
-  if remaining <> [] then in_l.pending_fanout <- Some (m, remaining)
+  if remaining <> [] then set_pending in_l (Some (m, remaining))
 
 (* Pick the next in-link with a switchable message, honouring the
-   weighted round-robin rotation. Links head-of-line blocked by a
-   pending fanout are retried, then skipped while still blocked. *)
+   weighted round-robin rotation: the cursor stays on a link until its
+   weight is spent. Links head-of-line blocked by a pending fanout are
+   retried, then skipped while still blocked. *)
 and next_switchable n =
-  let rec scan tried rest =
-    match rest with
-    | [] -> None
-    | l :: tl ->
-      let blocked =
-        match l.pending_fanout with
-        | Some _ -> not (retry_fanout n l)
-        | None -> false
-      in
-      if (not blocked) && not (Cqueue.is_empty l.recv_buf) then begin
-        (* keep [l] at the front until its weight is exhausted *)
-        l.wrr_left <- l.wrr_left - 1;
-        if l.wrr_left <= 0 then begin
-          l.wrr_left <- l.weight;
-          n.rr <- tl @ List.rev (l :: tried)
-        end
-        else n.rr <- (l :: tl) @ List.rev tried;
-        Some l
-      end
-      else scan (l :: tried) tl
-  in
-  scan [] n.rr
+  match Ring.find n.rr switchable with
+  | Some l as found ->
+    l.wrr_left <- l.wrr_left - 1;
+    if l.wrr_left <= 0 then begin
+      l.wrr_left <- l.weight;
+      Ring.advance n.rr
+    end;
+    found
+  | None -> None
+
+and switchable l =
+  (match l.pending_fanout with Some _ -> retry_fanout l.l_dst l | None -> true)
+  && not (Cqueue.is_empty l.recv_buf)
 
 and switch_one n l =
   match Cqueue.pop l.recv_buf with
@@ -803,7 +803,7 @@ and switch_one n l =
     (if Mt.is_data m.Msg.mtype then
        let meter = app_meter n m.Msg.app in
        Meter.record meter ~now:(Sim.now n.n_net.sim) ~bytes:(Msg.size m));
-    let verdict = process_with_algorithm n m in
+    let verdict = n.n_algo.process (ctx n) m in
     (match verdict with
     | Algorithm.Consume -> ()
     | Algorithm.Hold -> ()
@@ -821,7 +821,7 @@ and run_engine n =
         if m.Msg.mtype = Mt.Link_failed then engine_handle_link_failed n m;
         let engine_owned = engine_handles_control n m in
         if (not engine_owned) && n.n_state = `Alive then
-          ignore (process_with_algorithm n m);
+          ignore (n.n_algo.process (ctx n) m);
         if n.n_state = `Alive then drain_control ()
     in
     drain_control ();
@@ -975,7 +975,7 @@ and terminate_node n =
         Cqueue.iter count l.recv_buf;
         Cqueue.clear l.recv_buf;
         (match l.pending_fanout with Some (m, _) -> count m | None -> ());
-        l.pending_fanout <- None;
+        set_pending l None;
         l.l_closed <- true)
       n.in_links;
     NI.Tbl.iter
@@ -988,14 +988,10 @@ and terminate_node n =
         l.l_closed <- true)
       n.out_links;
     Queue.clear n.control_q;
-    (* release this node's threads *)
-    let my_threads =
-      1 + NI.Tbl.length n.in_links + NI.Tbl.length n.out_links
-    in
-    (* in/out link threads live partly on peer hosts: the receiver
-       thread of an in-link is ours, the sender thread is the peer's.
-       Each link contributed exactly one thread to this host. *)
-    ignore my_threads;
+    (* release this node's threads. In/out link threads live partly on
+       peer hosts: the receiver thread of an in-link is ours, the sender
+       thread is the peer's. Each link contributed exactly one thread to
+       this host. *)
     n.n_host.threads <-
       n.n_host.threads - 1 - NI.Tbl.length n.in_links
       - NI.Tbl.length n.out_links;
@@ -1012,7 +1008,7 @@ and terminate_node n =
     NI.Tbl.iter (fun peer _ -> notify_peer peer `In) n.out_links;
     NI.Tbl.reset n.in_links;
     NI.Tbl.reset n.out_links;
-    n.rr <- []
+    Ring.clear n.rr
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1143,17 +1139,18 @@ let add_node t ?host ?(bw = Bwspec.unconstrained) ?buffer_capacity ?observer
       n_state = `Alive;
       out_links = NI.Tbl.create 8;
       in_links = NI.Tbl.create 8;
-      rr = [];
+      rr = Ring.create ();
       up_rsrc = mk bw.Bwspec.up;
       down_rsrc = mk bw.Bwspec.down;
       total_rsrc = mk bw.Bwspec.total;
       bufcap;
       scheduled = false;
+      n_wake = ignore;
       control_q = Queue.create ();
       kh = NI.Set.empty;
       ctl_sent = Hashtbl.create 8;
       ctl_recv = Hashtbl.create 8;
-      app_meters = Hashtbl.create 4;
+      app_meters = [];
       bytes_lost = 0;
       msgs_lost = 0;
       n_ctx = None;
@@ -1184,6 +1181,7 @@ let add_node t ?host ?(bw = Bwspec.unconstrained) ?buffer_capacity ?observer
     }
   in
   n.n_ctx <- Some (make_ctx n);
+  n.n_wake <- (fun () -> run_engine n);
   (* decentralized join hook: seed contacts are known before the
      algorithm starts, no observer round-trip involved *)
   List.iter
@@ -1327,17 +1325,17 @@ let downstreams_of t ni =
 let app_rate t ni ~app =
   match find_node t ni with
   | Some n -> (
-    match Hashtbl.find_opt n.app_meters app with
-    | Some m -> Meter.rate m ~now:(now t)
-    | None -> 0.)
+    match find_meter app n.app_meters with
+    | m -> Meter.rate m ~now:(now t)
+    | exception Not_found -> 0.)
   | None -> 0.
 
 let app_bytes t ni ~app =
   match find_node t ni with
   | Some n -> (
-    match Hashtbl.find_opt n.app_meters app with
-    | Some m -> Meter.total_bytes m
-    | None -> 0)
+    match find_meter app n.app_meters with
+    | m -> Meter.total_bytes m
+    | exception Not_found -> 0)
   | None -> 0
 
 let control_bytes_sent t ni mt =

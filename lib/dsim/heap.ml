@@ -1,75 +1,81 @@
-type 'a entry = { time : float; seq : int; value : 'a }
-
+(* Entries live in parallel arrays indexed by heap position, the times
+   unboxed in a float array, so pushing and popping allocate nothing.
+   Vacated value cells hold [hole ()], an immediate, so the heap keeps no
+   removed value alive; every [vals] array is made from it, so it is
+   never a flat float array and a float value is stored boxed. *)
 type 'a t = {
-  mutable arr : 'a entry option array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable vals : 'a array;
   mutable len : int;
 }
 
-let create () = { arr = Array.make 16 None; len = 0 }
+let hole () = Obj.magic 0
+
+let create () =
+  { times = Array.make 16 0.; seqs = Array.make 16 0; vals = Array.make 16 (hole ()); len = 0 }
 
 let size t = t.len
 let is_empty t = t.len = 0
 
-let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let get t i =
-  match t.arr.(i) with
-  | Some e -> e
-  | None -> assert false
-
 let grow t =
-  let arr = Array.make (2 * Array.length t.arr) None in
-  Array.blit t.arr 0 arr 0 t.len;
-  t.arr <- arr
+  let extend a fill =
+    let b = Array.make (2 * t.len) fill in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.times <- extend t.times 0.;
+  t.seqs <- extend t.seqs 0;
+  t.vals <- extend t.vals (hole ())
 
-let push t ~time ~seq value =
-  if t.len = Array.length t.arr then grow t;
-  let e = { time; seq; value } in
-  (* sift up *)
+(* Does the entry at [i] come before [(time, seq)]? *)
+let[@inline] before t i time seq =
+  t.times.(i) < time || (t.times.(i) = time && t.seqs.(i) < seq)
+
+let[@inline] set t i time seq v =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.vals.(i) <- v
+
+let[@inline] move t ~src ~dst = set t dst t.times.(src) t.seqs.(src) t.vals.(src)
+
+let push t ~time ~seq v =
+  if t.len = Array.length t.times then grow t;
+  (* sift a hole up from the end, then fill it *)
   let i = ref t.len in
   t.len <- t.len + 1;
-  t.arr.(!i) <- Some e;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if less e (get t parent) then begin
-      t.arr.(!i) <- t.arr.(parent);
-      t.arr.(parent) <- Some e;
-      i := parent
-    end
-    else continue := false
-  done
+  while !i > 0 && not (before t ((!i - 1) / 2) time seq) do
+    move t ~src:((!i - 1) / 2) ~dst:!i;
+    i := (!i - 1) / 2
+  done;
+  set t !i time seq v
 
-let peek t =
-  if t.len = 0 then None
-  else
-    let e = get t 0 in
-    Some (e.time, e.seq, e.value)
+let min_time t = if t.len = 0 then invalid_arg "Heap.min_time: empty" else t.times.(0)
+
+let take t =
+  if t.len = 0 then invalid_arg "Heap.take: empty";
+  let top = t.vals.(0) and n = t.len - 1 in
+  let time = t.times.(n) and seq = t.seqs.(n) and last = t.vals.(n) in
+  t.len <- n;
+  t.vals.(n) <- hole ();
+  (* sift a hole down from the root, then put the last entry in it *)
+  let i = ref 0 and sifting = ref (n > 0) in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < n && before t (l + 1) t.times.(l) t.seqs.(l) then l + 1 else l in
+    if c < n && before t c time seq then begin
+      move t ~src:c ~dst:!i;
+      i := c
+    end
+    else sifting := false
+  done;
+  if n > 0 then set t !i time seq last;
+  top
+
+let peek t = if t.len = 0 then None else Some (t.times.(0), t.seqs.(0), t.vals.(0))
 
 let pop t =
   if t.len = 0 then None
-  else begin
-    let top = get t 0 in
-    t.len <- t.len - 1;
-    let last = get t t.len in
-    t.arr.(t.len) <- None;
-    if t.len > 0 then begin
-      t.arr.(0) <- Some last;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.len && less (get t l) (get t !smallest) then smallest := l;
-        if r < t.len && less (get t r) (get t !smallest) then smallest := r;
-        if !smallest <> !i then begin
-          t.arr.(!i) <- t.arr.(!smallest);
-          t.arr.(!smallest) <- Some last;
-          i := !smallest
-        end
-        else continue := false
-      done
-    end;
-    Some (top.time, top.seq, top.value)
-  end
+  else
+    let time = t.times.(0) and seq = t.seqs.(0) in
+    Some (time, seq, take t)

@@ -1,4 +1,6 @@
-type handle = { mutable dead : bool; mutable fn : (unit -> unit) option }
+(* [fn] is [ignore] once the event has fired or been cancelled, so a
+   kept handle does not keep its closure alive. *)
+type handle = { mutable dead : bool; mutable fn : unit -> unit }
 
 type t = {
   mutable clock : float;
@@ -23,7 +25,7 @@ let rng t = t.random
 let schedule_at t ~time f =
   if not (Float.is_finite time) then invalid_arg "Sim.schedule_at: time";
   if time < t.clock then invalid_arg "Sim.schedule_at: time in the past";
-  let h = { dead = false; fn = Some f } in
+  let h = { dead = false; fn = f } in
   Heap.push t.queue ~time ~seq:t.seq h;
   t.seq <- t.seq + 1;
   h
@@ -35,7 +37,7 @@ let schedule t ~delay f =
 
 let cancel _t h =
   h.dead <- true;
-  h.fn <- None
+  h.fn <- ignore
 
 let cancelled h = h.dead
 
@@ -45,7 +47,7 @@ let every t ~period ?(jitter = 0.) f =
   (* The outer handle stays valid across re-arms: each firing checks it
      and re-schedules itself, so cancelling the outer handle stops the
      recurrence even though inner events keep their own handles. *)
-  let outer = { dead = false; fn = None } in
+  let outer = { dead = false; fn = ignore } in
   let next_delay () =
     if jitter = 0. then period
     else period -. jitter +. Random.State.float t.random (2. *. jitter)
@@ -64,31 +66,25 @@ let every t ~period ?(jitter = 0.) f =
 
 let run ?until ?max_events t =
   let budget = ref (match max_events with Some n -> n | None -> max_int) in
+  let limit = match until with Some u -> u | None -> infinity in
   let continue = ref true in
   while !continue && !budget > 0 do
-    match Heap.peek t.queue with
-    | None -> continue := false
-    | Some (time, _, _) -> (
-      match until with
-      | Some u when time > u ->
-        t.clock <- Float.max t.clock u;
-        continue := false
-      | _ -> (
-        match Heap.pop t.queue with
-        | None -> continue := false
-        | Some (time, _, h) ->
-          t.clock <- time;
-          (match h.fn with
-          | Some f when not h.dead ->
-            h.fn <- None;
-            t.fired <- t.fired + 1;
-            decr budget;
-            f ()
-          | Some _ | None -> ())))
+    if Heap.is_empty t.queue || Heap.min_time t.queue > limit then
+      continue := false
+    else begin
+      t.clock <- Heap.min_time t.queue;
+      let h = Heap.take t.queue in
+      if not h.dead then begin
+        let f = h.fn in
+        h.fn <- ignore;
+        t.fired <- t.fired + 1;
+        decr budget;
+        f ()
+      end
+    end
   done;
   match until with
-  | Some u when (not !continue) && Heap.is_empty t.queue ->
-    t.clock <- Float.max t.clock u
+  | Some u when not !continue -> t.clock <- Float.max t.clock u
   | _ -> ()
 
 let pending t = Heap.size t.queue

@@ -120,6 +120,29 @@ let test_source_split_stripes () =
     (List.for_all (fun q -> q mod 2 = 1) !log3);
   Alcotest.(check bool) "both nonempty" true (!log2 <> [] && !log3 <> [])
 
+(* An unwrapped back-to-back source into an idle link: the simulator's
+   send starts the transmission at once and calls [on_ready] from inside
+   it, so the source is re-entered mid-[emit]. Every sequence number must
+   still arrive exactly once, in order. *)
+let test_source_seqs_exactly_once () =
+  let net = Network.create () in
+  let got = ref [] in
+  let recorder =
+    Ialg.make ~name:"r" (fun _ m ->
+        if m.Msg.mtype = Mt.Data then got := m.Msg.seq :: !got;
+        Some Alg.Consume)
+  in
+  let s = Source.create ~payload_size:1024 ~app ~dests:[ id 2 ] () in
+  ignore (Network.add_node net ~id:(id 1) (Source.algorithm s));
+  ignore (Network.add_node net ~id:(id 2) recorder);
+  Network.run net ~until:0.5;
+  Source.stop s;
+  Network.run net ~until:2.;
+  let n = Source.sent s in
+  Alcotest.(check bool) "the stream flowed" true (n > 10);
+  Alcotest.(check (list int)) "seqs 0..n-1, each once" (List.init n Fun.id)
+    (List.rev !got)
+
 (* ------------------------------------------------------------------ *)
 (* Coding frames *)
 
@@ -460,6 +483,8 @@ let () =
           Alcotest.test_case "deploy/terminate" `Quick
             test_source_deploy_control;
           Alcotest.test_case "split striping" `Quick test_source_split_stripes;
+          Alcotest.test_case "seqs exactly once into an idle link" `Quick
+            test_source_seqs_exactly_once;
         ] );
       ( "coding",
         frame_props

@@ -60,6 +60,103 @@ let heap_props =
          Heap.size h = Stdlib.max 0 (n - 1)));
   ]
 
+(* Random pushes and removals against a sorted-list model. Times come
+   from a handful of values, so most entries tie and the sequence number
+   must break ties first in, first out; values are floats, which the
+   heap stores boxed. *)
+type heap_op = Push of int | Pop | Take
+
+let heap_op_print = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Pop -> "pop"
+  | Take -> "take"
+
+let heap_model_prop =
+  qtest ~count:500 "matches a sorted-list model"
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map heap_op_print l))
+       QCheck.Gen.(
+         list_size (int_range 0 400)
+           (frequency [ (3, map (fun t -> Push t) (int_bound 4)); (1, return Pop); (1, return Take) ])))
+    (fun ops ->
+      let h = Heap.create () and model = ref [] and seq = ref 0 in
+      let insert e = List.merge compare [ e ] in
+      let step = function
+        | Push t ->
+          let v = float_of_int !seq /. 4. in
+          Heap.push h ~time:(float_of_int t) ~seq:!seq v;
+          model := insert (float_of_int t, !seq, v) !model;
+          incr seq;
+          true
+        | Pop -> (
+          let got = Heap.pop h in
+          match !model with
+          | e :: tl ->
+            model := tl;
+            got = Some e
+          | [] -> got = None)
+        | Take -> (
+          match !model with
+          | (t, _, v) :: tl ->
+            model := tl;
+            let t' = Heap.min_time h in
+            t' = t && Heap.take h = v
+          | [] -> (
+            match Heap.take h with
+            | _ -> false
+            | exception Invalid_argument _ -> true))
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Heap.size h = List.length !model
+          && Heap.peek h = (match !model with e :: _ -> Some e | [] -> None))
+        ops)
+
+let test_heap_growth () =
+  (* far past the initial capacity, in reverse order: every push sifts
+     to the root *)
+  let h = Heap.create () in
+  for i = 999 downto 0 do
+    Heap.push h ~time:(float_of_int i) ~seq:(999 - i) i
+  done;
+  Alcotest.(check int) "size" 1000 (Heap.size h);
+  Alcotest.(check (list int)) "ascending" (List.init 1000 Fun.id)
+    (List.init 1000 (fun _ -> Heap.take h));
+  Alcotest.check_raises "take on empty" (Invalid_argument "Heap.take: empty")
+    (fun () -> ignore (Heap.take h))
+
+let test_heap_no_retention () =
+  (* a removed value becomes garbage at once, a queued one stays alive;
+     removing half, then the rest, covers both the root and the cells
+     vacated at the end *)
+  let h = Heap.create () in
+  let n = 40 in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set w i (Some v);
+    Heap.push h ~time:(float_of_int (i mod 3)) ~seq:i v
+  done;
+  let removed = Array.make n false in
+  let remove k =
+    for j = 1 to k do
+      let v =
+        if j mod 2 = 0 then Heap.take h
+        else match Heap.pop h with Some (_, _, v) -> v | None -> assert false
+      in
+      removed.(!v) <- true
+    done;
+    Gc.full_major ();
+    Array.iteri
+      (fun i r ->
+        Alcotest.(check bool) (Printf.sprintf "value %d alive" i) (not r) (Weak.check w i))
+      removed
+  in
+  remove (n / 2);
+  remove (n / 2);
+  Alcotest.(check bool) "emptied" true (Heap.is_empty h)
+
 (* ------------------------------------------------------------------ *)
 (* Rate servers *)
 
@@ -238,6 +335,10 @@ let () =
         @ [
             Alcotest.test_case "basic order" `Quick test_heap_basic;
             Alcotest.test_case "FIFO on ties" `Quick test_heap_fifo_ties;
+            heap_model_prop;
+            Alcotest.test_case "growth across capacity" `Quick test_heap_growth;
+            Alcotest.test_case "removed values not retained" `Quick
+              test_heap_no_retention;
           ] );
       ( "rsrc",
         rsrc_props

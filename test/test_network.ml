@@ -638,6 +638,130 @@ let test_weighted_round_robin () =
   if ratio < 2.5 || ratio > 3.5 then
     Alcotest.failf "expected ~3:1 split, got %.2f (%d vs %d)" ratio d4 d5
 
+(* The switch's weighted round-robin rotation, kept in a [Ring], against
+   the list rotation it replaced ([tl @ List.rev (l :: tried)]), on random
+   weights, arrivals, blocked fanouts and in-link closes. Each side runs
+   on its own copy of the links; picks and the order of fanout retries
+   must agree. *)
+module Ring = Iov_core.Ring
+
+type rlink = {
+  rid : int;
+  mutable weight : int;
+  mutable left : int;
+  mutable queued : int;  (** messages waiting in the receiver buffer *)
+  mutable pending : int;
+      (** -1: no pending fanout; k >= 0: the fanout clears on the retry
+          after k more failed ones *)
+}
+
+type rcmd = Arrive of int | Switch of int | Open of int | Close of int | Weight of int * int
+
+let rcmd_print = function
+  | Arrive i -> Printf.sprintf "arrive %d" i
+  | Switch b -> Printf.sprintf "switch/blocked %d" b
+  | Open i -> Printf.sprintf "open %d" i
+  | Close i -> Printf.sprintf "close %d" i
+  | Weight (i, w) -> Printf.sprintf "weight %d %d" i w
+
+let rcmd_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> Arrive i) (int_bound 5));
+        (6, map (fun b -> Switch b) (frequency [ (3, return (-1)); (1, int_bound 3) ]));
+        (1, map (fun i -> Open i) (int_bound 5));
+        (1, map (fun i -> Close i) (int_bound 5));
+        (1, map2 (fun i w -> Weight (i, w)) (int_bound 5) (int_range 1 4));
+      ])
+
+(* the retry of a pending fanout, logged *)
+let retry log l =
+  log := l.rid :: !log;
+  if l.pending = 0 then l.pending <- -1 else l.pending <- l.pending - 1;
+  l.pending < 0
+
+let switchable log l = (l.pending < 0 || retry log l) && l.queued > 0
+
+let list_next rr log =
+  let rec scan tried = function
+    | [] -> None
+    | l :: tl ->
+      if switchable log l then begin
+        l.left <- l.left - 1;
+        if l.left <= 0 then begin
+          l.left <- l.weight;
+          rr := tl @ List.rev (l :: tried)
+        end
+        else rr := (l :: tl) @ List.rev tried;
+        Some l
+      end
+      else scan (l :: tried) tl
+  in
+  scan [] !rr
+
+let ring_next ring log =
+  match Ring.find ring (switchable log) with
+  | Some l as found ->
+    l.left <- l.left - 1;
+    if l.left <= 0 then begin
+      l.left <- l.weight;
+      Ring.advance ring
+    end;
+    found
+  | None -> None
+
+(* runs [cmds] on one side: [next] picks, [add]/[remove] change the
+   membership; returns every pick and retry, in order *)
+let run_rotation cmds ~next ~add ~remove =
+  let links = Hashtbl.create 8 and out = ref [] in
+  let apply = function
+    | Arrive i -> Option.iter (fun l -> l.queued <- l.queued + 1) (Hashtbl.find_opt links i)
+    | Switch b ->
+      let log = ref [] in
+      let pick = next log in
+      Option.iter
+        (fun l ->
+          l.queued <- l.queued - 1;
+          l.pending <- b)
+        pick;
+      out := (Option.map (fun l -> l.rid) pick, List.rev !log) :: !out
+    | Open i ->
+      if not (Hashtbl.mem links i) then begin
+        let l = { rid = i; weight = 1; left = 1; queued = 0; pending = -1 } in
+        Hashtbl.replace links i l;
+        add l
+      end
+    | Close i ->
+      Option.iter
+        (fun l ->
+          Hashtbl.remove links i;
+          remove l)
+        (Hashtbl.find_opt links i)
+    | Weight (i, w) ->
+      Option.iter
+        (fun l ->
+          l.weight <- w;
+          l.left <- min l.left w)
+        (Hashtbl.find_opt links i)
+  in
+  List.iter apply (List.init 4 (fun i -> Open i) @ cmds);
+  List.rev !out
+
+let rotation_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"ring rotation matches the list rotation"
+       (QCheck.make
+          ~print:(fun l -> String.concat "; " (List.map rcmd_print l))
+          QCheck.Gen.(list_size (int_range 1 200) rcmd_gen))
+       (fun cmds ->
+         let rr = ref [] and ring = Ring.create () in
+         run_rotation cmds ~next:(list_next rr)
+           ~add:(fun l -> rr := !rr @ [ l ])
+           ~remove:(fun l -> rr := List.filter (fun x -> x != l) !rr)
+         = run_rotation cmds ~next:(ring_next ring) ~add:(Ring.add ring)
+             ~remove:(Ring.remove ring)))
+
 let test_weight_validation () =
   let net = Network.create () in
   ignore (Network.add_node net ~id:(id 1) Alg.null);
@@ -980,6 +1104,7 @@ let () =
             test_disconnect_stops_traffic;
           Alcotest.test_case "pipelining across latency" `Quick
             test_pipeline_depth_limits_latency_bandwidth;
+          rotation_prop;
         ] );
       ( "semantics",
         [
